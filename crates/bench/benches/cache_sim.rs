@@ -5,7 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dense::desc::alloc_layout;
 use dense::matmul::{ml_matmul, RecOrder};
-use memsim::{CacheConfig, MemSim, Policy, SimMem};
+use memsim::mem::Access;
+use memsim::{CacheConfig, Mem, MemSim, Policy, RawMem, SimMem};
 use wa_core::Mat;
 
 fn run_workload(cfgs: &[CacheConfig], n: usize, order_rest: RecOrder) -> u64 {
@@ -101,17 +102,48 @@ fn bench_orders_under_lru(c: &mut Criterion) {
     g.finish();
 }
 
+/// Per-word recording memory: the `(addr, is_write)` stream that the
+/// offline Belady replay consumes. Runs fall back to the per-word hooks.
+struct RecordMem {
+    data: Vec<f64>,
+    trace: Vec<Access>,
+}
+
+impl Mem for RecordMem {
+    fn ld(&mut self, addr: usize) -> f64 {
+        self.trace.push(Access {
+            addr,
+            is_write: false,
+        });
+        self.data[addr]
+    }
+
+    fn st(&mut self, addr: usize, v: f64) {
+        self.trace.push(Access {
+            addr,
+            is_write: true,
+        });
+        self.data[addr] = v;
+    }
+
+    fn len(&self) -> usize {
+        self.data.len()
+    }
+}
+
 fn bench_belady(c: &mut Criterion) {
     use memsim::ideal::simulate_belady;
-    use memsim::mem::{Access, TraceMem};
     let mut g = c.benchmark_group("cache_sim/belady");
     // Record a modest matmul trace once, replay through Belady.
     let n = 48;
     let (d, words) = alloc_layout(&[(n, n), (n, n), (n, n)]);
-    let mut tm = TraceMem::new(words);
-    d[0].store_mat(&mut tm, &Mat::random(n, n, 1));
-    d[1].store_mat(&mut tm, &Mat::random(n, n, 2));
-    tm.trace.clear();
+    let mut raw = RawMem::new(words);
+    d[0].store_mat(&mut raw, &Mat::random(n, n, 1));
+    d[1].store_mat(&mut raw, &Mat::random(n, n, 2));
+    let mut tm = RecordMem {
+        data: raw.data,
+        trace: Vec::new(),
+    };
     ml_matmul(
         &mut tm,
         d[0],

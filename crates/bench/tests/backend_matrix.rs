@@ -421,3 +421,76 @@ fn agreement_table_has_no_stale_entries() {
         );
     }
 }
+
+/// Every traced cell's `trace_*` counters at small scale, one line per
+/// cell in registration order. The dense and cdag cells report
+/// `trace_len` (words accessed); the parallel cells report the critical
+/// rank's `trace_words`.
+const TRACED_SMALL: &[&str] = &[
+    "matmul-wa trace_len=940032 trace_writes=18432 trace_distinct_lines=3456",
+    "matmul-nonwa trace_len=940032 trace_writes=18432 trace_distinct_lines=3456",
+    "matmul-co trace_len=1105920 trace_writes=73728 trace_distinct_lines=3456",
+    "trsm-wa trace_len=474720 trace_writes=13824 trace_distinct_lines=1776",
+    "trsm-rl trace_len=474720 trace_writes=13824 trace_distinct_lines=1776",
+    "cholesky-wa trace_len=163712 trace_writes=5832 trace_distinct_lines=624",
+    "cholesky-rl trace_len=163712 trace_writes=5832 trace_distinct_lines=624",
+    "lu-wa trace_len=388280 trace_writes=80704 trace_distinct_lines=1152",
+    "lu-rl trace_len=388280 trace_writes=80704 trace_distinct_lines=1152",
+    "fft trace_len=458240 trace_writes=229120",
+    "strassen trace_len=402944 trace_writes=75776",
+    "summa trace_words=11088 trace_writes=1584 trace_distinct_lines=54",
+    "summa-ool2 trace_words=20016 trace_writes=4464 trace_distinct_lines=22",
+    "cannon trace_words=11088 trace_writes=1872 trace_distinct_lines=54",
+    "mm25d trace_words=13056 trace_writes=2048 trace_distinct_lines=128",
+    "lu-parallel trace_words=8592 trace_writes=2384 trace_distinct_lines=24",
+];
+
+/// Paper-scale spot checks (the same values `perfbench/pins.txt` holds).
+const TRACED_PAPER: &[&str] = &[
+    "matmul-wa trace_len=7299072 trace_writes=73728 trace_distinct_lines=13824",
+    "fft trace_len=2096128 trace_writes=1048064",
+];
+
+/// Run each pinned workload on `traced` at `scale` and render its
+/// `trace_*` config echo in the pin format.
+fn traced_lines(scale: Scale, pins: &[&str]) -> Vec<String> {
+    let reg = registry();
+    pins.iter()
+        .map(|pin| {
+            let name = pin.split(' ').next().unwrap();
+            let r = reg
+                .run_cfg(name, RunCfg::new(BackendKind::Traced, scale))
+                .unwrap_or_else(|e| panic!("{name} traced @ {scale}: {e}"));
+            let counters = r
+                .config
+                .iter()
+                .filter(|(k, _)| k.starts_with("trace_"))
+                .map(|(k, v)| format!(" {k}={v}"));
+            std::iter::once(name.to_string()).chain(counters).collect()
+        })
+        .collect()
+}
+
+/// The traced backend's word, write and distinct-line counts are exact
+/// and pinned for every traced cell in the registry; a traced cell
+/// without a pin fails the suite.
+#[test]
+fn traced_counters_match_small_scale_pins() {
+    let reg = registry();
+    let traced: Vec<&str> = reg
+        .iter()
+        .filter(|w| w.supports(BackendKind::Traced))
+        .map(|w| w.name())
+        .collect();
+    let pinned: Vec<&str> = TRACED_SMALL
+        .iter()
+        .map(|pin| pin.split(' ').next().unwrap())
+        .collect();
+    assert_eq!(traced, pinned, "every traced cell needs a pin");
+    assert_eq!(traced_lines(Scale::Small, TRACED_SMALL), TRACED_SMALL);
+}
+
+#[test]
+fn traced_counters_match_paper_scale_pins() {
+    assert_eq!(traced_lines(Scale::Paper, TRACED_PAPER), TRACED_PAPER);
+}

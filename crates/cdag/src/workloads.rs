@@ -57,10 +57,9 @@ fn run_backend(
         BackendKind::Traced => {
             let mut mem = TraceMem::from_vec(data);
             let (_, ns) = timed(|| kernel(&mut (&mut mem as &mut dyn Mem)));
-            let writes = mem.trace.iter().filter(|a| a.is_write).count();
             let mut r = base(backend)
-                .config("trace_len", mem.trace.len())
-                .config("trace_writes", writes);
+                .config("trace_len", mem.tally.words())
+                .config("trace_writes", mem.tally.writes());
             r.wall_ns = ns;
             Ok(r)
         }

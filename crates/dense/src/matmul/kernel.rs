@@ -90,16 +90,14 @@ mod tests {
     #[test]
     fn kernel_writes_each_c_element_exactly_once() {
         let (d, words) = alloc_layout(&[(4, 4), (4, 4), (4, 4)]);
-        let mut mem = TraceMem::new(words);
-        let a = Mat::random(4, 4, 5);
-        let b = Mat::random(4, 4, 6);
-        d[0].store_mat(&mut mem, &a);
-        d[1].store_mat(&mut mem, &b);
-        mem.trace.clear();
+        let mut raw = RawMem::new(words);
+        d[0].store_mat(&mut raw, &Mat::random(4, 4, 5));
+        d[1].store_mat(&mut raw, &Mat::random(4, 4, 6));
+        let mut mem = TraceMem::from_vec(raw.data);
         mm_kernel(&mut mem, d[0], d[1], d[2]);
-        let writes = mem.trace.iter().filter(|x| x.is_write).count();
+        let writes = mem.tally.writes();
         assert_eq!(writes, 16, "one store per C element");
-        let reads = mem.trace.iter().filter(|x| !x.is_write).count();
+        let reads = mem.tally.words() - writes;
         // Row-form: C and A rows once each (16 + 16), B rows streamed
         // once per (i, k) pair (4 * 4 rows of 4 words).
         assert_eq!(reads, 16 + 16 + 64, "C + A once, B per (i,k)");

@@ -17,7 +17,7 @@
 //!   the paper measures: `LLC_VICTIMS.M`, `LLC_VICTIMS.E`, `LLC_S_FILLS.E`.
 //! * [`mem`] — the [`mem::Mem`] access trait through which instrumented
 //!   kernels run unchanged on raw memory (no counting, full speed), on the
-//!   cache simulator, or on a trace recorder.
+//!   cache simulator, or on a streaming trace tally.
 //! * [`ideal`] — the ideal-cache miss count model for the cache-oblivious
 //!   matmul of Frigo et al. (the black line of Figure 2a) and a small
 //!   Belady simulator used to sanity-check it.
@@ -48,7 +48,7 @@ pub mod xeon;
 pub use cache::{CacheConfig, LevelCounters};
 pub use explicit::ExplicitHier;
 pub use hierarchy::{AccessRun, MemSim};
-pub use mem::{Mem, RawMem, SimMem, TraceMem};
+pub use mem::{Mem, RawMem, SimMem, TraceMem, TraceTally};
 pub use policy::Policy;
 pub use probe::{PhaseStats, Probe, ReuseHist};
 pub use report::{explicit_report, memsim_report, stack_report};

@@ -20,8 +20,7 @@
 //! crosses to the backing store via [`Machine::sim_writeback`]
 //! (clwb-style, [`MemSim::writeback_range`]).
 
-use memsim::{Mem, MemSim, StackSim, LINE_WORDS};
-use std::collections::HashSet;
+use memsim::{Mem, MemSim, StackSim, TraceTally, LINE_WORDS};
 use wa_core::{CostParams, Traffic};
 
 /// Where a node's operands live, controlling which boundaries a network
@@ -103,32 +102,15 @@ impl std::ops::AddAssign for NodeCounters {
 pub enum SimKind {
     /// A [`MemSim`] cache hierarchy per rank (node-local NVM backing).
     Simmed,
-    /// Word-granular trace statistics per rank.
+    /// A streaming [`TraceTally`] per rank: words, writes, distinct lines.
     Traced,
     /// A single-pass Mattson [`StackSim`] per rank (capacity curves).
     Stack,
 }
 
-/// Per-rank replay statistics for the `traced` backend.
-#[derive(Clone, Debug, Default)]
-pub struct TraceStats {
-    /// Words accessed (loads + stores).
-    pub words: u64,
-    /// Words stored.
-    pub writes: u64,
-    lines: HashSet<u64>,
-}
-
-impl TraceStats {
-    /// Distinct cache lines touched (the rank's footprint in lines).
-    pub fn distinct_lines(&self) -> u64 {
-        self.lines.len() as u64
-    }
-}
-
 enum RankSim {
     Simmed(Box<MemSim>),
-    Traced(Box<TraceStats>),
+    Traced(Box<TraceTally>),
     Stack(Box<StackSim>),
 }
 
@@ -216,13 +198,7 @@ impl Machine {
             None => {}
             Some(RankSim::Simmed(sim)) => sim.read_range(addr, words),
             Some(RankSim::Stack(sim)) => sim.read_range(addr, words),
-            Some(RankSim::Traced(t)) => {
-                t.words += words as u64;
-                let lw = LINE_WORDS as u64;
-                for line in addr as u64 / lw..=(addr + words - 1) as u64 / lw {
-                    t.lines.insert(line);
-                }
-            }
+            Some(RankSim::Traced(t)) => t.read_range(addr, words),
         }
     }
 
@@ -235,14 +211,7 @@ impl Machine {
             None => {}
             Some(RankSim::Simmed(sim)) => sim.write_range(addr, words),
             Some(RankSim::Stack(sim)) => sim.write_range(addr, words),
-            Some(RankSim::Traced(t)) => {
-                t.words += words as u64;
-                t.writes += words as u64;
-                let lw = LINE_WORDS as u64;
-                for line in addr as u64 / lw..=(addr + words - 1) as u64 / lw {
-                    t.lines.insert(line);
-                }
-            }
+            Some(RankSim::Traced(t)) => t.write_range(addr, words),
         }
     }
 
@@ -324,7 +293,7 @@ impl Machine {
     }
 
     /// `rank`'s trace statistics (`Traced` sims only).
-    pub fn trace_stats_of(&self, rank: usize) -> Option<&TraceStats> {
+    pub fn trace_stats_of(&self, rank: usize) -> Option<&TraceTally> {
         match self.sims.get(rank)? {
             RankSim::Traced(t) => Some(t),
             _ => None,
@@ -339,7 +308,11 @@ impl Machine {
         for rank in 0..self.p() {
             let t = self.trace_stats_of(rank)?;
             let (w, s, l) = out.unwrap_or((0, 0, 0));
-            out = Some((w.max(t.words), s.max(t.writes), l.max(t.distinct_lines())));
+            out = Some((
+                w.max(t.words()),
+                s.max(t.writes()),
+                l.max(t.distinct_lines()),
+            ));
         }
         out
     }
@@ -674,7 +647,7 @@ mod tests {
         m.sim_read(0, buf, 32);
         m.sim_read(1, buf, 8);
         let t0 = m.trace_stats_of(0).unwrap();
-        assert_eq!((t0.words, t0.writes, t0.distinct_lines()), (64, 32, 4));
+        assert_eq!((t0.words(), t0.writes(), t0.distinct_lines()), (64, 32, 4));
         assert_eq!(m.max_trace_stats(), Some((64, 32, 4)));
     }
 

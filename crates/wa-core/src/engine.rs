@@ -25,8 +25,8 @@ pub enum BackendKind {
     /// Every access walks the multi-level cache simulator; boundary
     /// traffic is derived from fill/victim counters.
     Simmed,
-    /// Accesses are recorded to an address trace; the report carries
-    /// trace statistics (length, distinct lines).
+    /// Accesses stream into a trace tally; the report carries its
+    /// statistics (words accessed, words written, distinct lines).
     Traced,
     /// The algorithm issues explicit block `load`/`store` operations whose
     /// word counts are exact (the paper's Sections 2/4 accounting).
