@@ -8,9 +8,10 @@
 //! harness run <workload> [--backend B] [--scale S] [--depth D] [--json]
 //!             [--trace out.json] [--trace-clock wall|logical]
 //!     Execute one workload on one backend and print its RunReport.
-//!     B: raw | simmed | traced | explicit (default: the workload's first
-//!     declared backend). S: small | paper (default small). D: modeled
-//!     hierarchy depth for traffic-counting backends (default 1).
+//!     B: raw | simmed | traced | explicit | stack (default: the
+//!     workload's first declared backend). S: small | paper (default
+//!     small). D: modeled hierarchy depth for traffic-counting backends
+//!     (default 1).
 //!     --trace writes a Chrome trace-event JSON (engine spans, simulator
 //!     counter tracks) openable in Perfetto / chrome://tracing.
 //!
@@ -36,11 +37,6 @@
 //!     `--curve` sweeps only the stack-backend cells: each workload's
 //!     whole capacity curve from a single pass instead of per-capacity
 //!     re-runs.
-//!
-//! harness exp <command> [--scale small|paper] [--policy P]
-//!     The paper-artifact reproductions (figures/tables); `exp all` runs
-//!     everything. Commands: fig2 fig5 lru-props table1 table2 theorem4
-//!     lu-parallel ksm bounds wa-optimal sorting model1.
 //! ```
 //!
 //! Every `--json` report uses the stable [`wa_core::report::RunReport`]
@@ -52,15 +48,13 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wa_bench::registry::registry;
-use wa_bench::scale::Repl;
 use wa_bench::sweep::{completed_cells, CellOutcome, Journal};
-use wa_bench::{bounds_exp, fig2, fig5, ksm, lu_par, props, sorting, tables, theorem4, waopt};
 use wa_core::engine::{BackendKind, EngineError, RunCfg, RunLimits, Workload};
 use wa_core::fault::FaultPlan;
 use wa_core::obs::{self, Clock, PhaseRow, Recorder};
 use wa_core::par::{default_threads, par_map};
 use wa_core::report::{median_wall_ns, RunReport};
-use wa_core::{CostParams, Registry, Scale};
+use wa_core::{Registry, Scale};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -76,7 +70,6 @@ fn main() {
         "profile" => profile(&faulted_registry(rest), rest),
         "curve" => curve(&faulted_registry(rest), rest),
         "sweep" => sweep(&faulted_registry(rest), rest),
-        "exp" => exp(rest),
         "help" | "--help" | "-h" => usage(0),
         other => {
             eprintln!("unknown command `{other}`");
@@ -87,7 +80,7 @@ fn main() {
 
 fn usage(code: i32) -> ! {
     eprintln!(
-        "usage:\n  harness list [--json|--markdown]\n  harness run <workload> [--backend B] [--scale S] [--depth D] [--repeat N] [--timeout SECS] [--retries N]\n                [--mem-budget BYTES] [--degrade]\n                [--trace PATH] [--trace-clock wall|logical] [--reuse] [--json]\n  harness profile <workload> [--backend B] [--scale S] [--depth D] [--reuse]\n  harness curve <workload> [--capacities W,W,...|--geometric LO:HI:STEPS] [--scale S] [--json|--csv]\n  harness sweep [--group G] [--backend B] [--scale S] [--depth D] [--threads N] [--repeat N]\n                [--timeout SECS] [--retries N] [--mem-budget BYTES] [--degrade]\n                [--fail-fast] [--journal PATH] [--resume]\n                [--metrics PATH] [--curve] [--json|--csv]\n  harness exp <command> [--scale small|paper] [--policy P]   (exp all = every paper artifact)\n\n  --depth D        hierarchy depth (cache levels) for traffic-counting backends; default 1\n  --capacities W,… curve only: comma-separated fast-memory capacities in words\n  --geometric L:H:S curve only: S capacities geometrically spaced from L to H words\n  --curve          sweep only: stack-backend cells only — every workload's full capacity\n                   curve from one simulation pass (no per-capacity re-runs)\n  --repeat N       run each scenario N times; the report carries the median wall time\n  --timeout SECS   per-cell wall-clock deadline (float seconds); the watchdog fires the\n                   cancel token and the worker joins as `cancelled` (a worker stuck in\n                   uncancellable code is detached as legacy `timed-out`)\n  --retries N      re-attempt panicked/cancelled/timed-out/retriable cells N times\n                   (deterministic backoff)\n  --mem-budget B   per-cell footprint budget in bytes (K/M/G suffixes); over-budget\n                   cells are rejected as invalid-config before they run\n  --degrade        with --mem-budget: downgrade over-budget cells (depth->1, scale->small,\n                   backend->traced) instead of rejecting; substitutions are noted in the report\n  --trace PATH     run only: write a Chrome trace-event JSON (engine spans + simulator\n                   counter tracks); open in Perfetto or chrome://tracing\n  --trace-clock C  wall (default, microseconds) or logical (deterministic event ticks)\n  --reuse          run/profile: also collect the simulator's reuse-distance histogram\n  --fail-fast      sweep only: stop scheduling new cells after the first failure\n  --journal PATH   sweep only: per-cell JSONL journal (default sweep.journal.jsonl)\n  --resume         sweep only: skip cells the journal already records as ok; append new outcomes\n  --metrics PATH   sweep only: write a JSON rollup (failure counts per kind, retry and\n                   wall-time totals, cache-memo rates)\n  --fault-plan S   deterministic fault injection, e.g. `matmul-wa:panic@1,lu-wa:stall=2000`\n                   (also via env WA_FAULT_PLAN); kinds: panic | corrupt | stall=MS\n  --csv            sweep only: one CSV row per scenario (RunReport::CSV_HEADER +\n                   wall_ms,retries_used,status)\n  --markdown       list only: the README workload×backend support table\n\nexit codes: 0 = all cells ok, 1 = at least one cell failed, 2 = usage/config error,\n            130 = interrupted (SIGINT): journal flushed, resume with `sweep --resume`"
+        "usage:\n  harness list [--json|--markdown]\n  harness run <workload> [--backend B] [--scale S] [--depth D] [--repeat N] [--timeout SECS] [--retries N]\n                [--mem-budget BYTES] [--degrade]\n                [--trace PATH] [--trace-clock wall|logical] [--reuse] [--json]\n  harness profile <workload> [--backend B] [--scale S] [--depth D] [--reuse]\n  harness curve <workload> [--capacities W,W,...|--geometric LO:HI:STEPS] [--scale S] [--json|--csv]\n  harness sweep [--group G] [--backend B] [--scale S] [--depth D] [--threads N] [--repeat N]\n                [--timeout SECS] [--retries N] [--mem-budget BYTES] [--degrade]\n                [--fail-fast] [--journal PATH] [--resume]\n                [--metrics PATH] [--curve] [--json|--csv]\n\n  --depth D        hierarchy depth (cache levels) for traffic-counting backends; default 1\n  --capacities W,… curve only: comma-separated fast-memory capacities in words\n  --geometric L:H:S curve only: S capacities geometrically spaced from L to H words\n  --curve          sweep only: stack-backend cells only — every workload's full capacity\n                   curve from one simulation pass (no per-capacity re-runs)\n  --repeat N       run each scenario N times; the report carries the median wall time\n  --timeout SECS   per-cell wall-clock deadline (float seconds); the watchdog fires the\n                   cancel token and the worker joins as `cancelled` (a worker stuck in\n                   uncancellable code is detached as legacy `timed-out`)\n  --retries N      re-attempt panicked/cancelled/timed-out/retriable cells N times\n                   (deterministic backoff)\n  --mem-budget B   per-cell footprint budget in bytes (K/M/G suffixes); over-budget\n                   cells are rejected as invalid-config before they run\n  --degrade        with --mem-budget: downgrade over-budget cells (depth->1, scale->small,\n                   backend->traced) instead of rejecting; substitutions are noted in the report\n  --trace PATH     run only: write a Chrome trace-event JSON (engine spans + simulator\n                   counter tracks); open in Perfetto or chrome://tracing\n  --trace-clock C  wall (default, microseconds) or logical (deterministic event ticks)\n  --reuse          run/profile: also collect the simulator's reuse-distance histogram\n  --fail-fast      sweep only: stop scheduling new cells after the first failure\n  --journal PATH   sweep only: per-cell JSONL journal (default sweep.journal.jsonl)\n  --resume         sweep only: skip cells the journal already records as ok; append new outcomes\n  --metrics PATH   sweep only: write a JSON rollup (failure counts per kind, retry and\n                   wall-time totals, cache-memo rates)\n  --fault-plan S   deterministic fault injection, e.g. `matmul-wa:panic@1,lu-wa:stall=2000`\n                   (also via env WA_FAULT_PLAN); kinds: panic | corrupt | stall=MS\n  --csv            sweep only: one CSV row per scenario (RunReport::CSV_HEADER +\n                   wall_ms,retries_used,status)\n  --markdown       list only: the README workload×backend support table\n\nexit codes: 0 = all cells ok, 1 = at least one cell failed, 2 = usage/config error,\n            130 = interrupted (SIGINT): journal flushed, resume with `sweep --resume`"
     );
     std::process::exit(code);
 }
@@ -1002,95 +995,4 @@ fn metrics_rollup(results: &[CellResult], skipped: usize) -> String {
         statuses.join(","),
         wall_ns_total as f64 / 1e6
     )
-}
-
-/// The legacy paper-artifact commands, verbatim from the pre-registry
-/// dispatcher (they print hand-formatted tables rather than RunReports).
-fn exp(args: &[String]) {
-    let cmd = args.first().map(String::as_str).unwrap_or("all");
-    let scale = flag_value(args, "--scale")
-        .and_then(wa_bench::scale::Scale::parse)
-        .unwrap_or(wa_bench::scale::Scale::Small);
-    let repl = flag_value(args, "--policy")
-        .and_then(Repl::parse)
-        .unwrap_or(Repl::FaLru);
-
-    let run = |c: &str| match c {
-        "fig2" => fig2::run_figure(scale, repl),
-        "fig5" => fig5::run_figure(scale, repl),
-        "lru-props" => props::run(128, 24),
-        "table1" => {
-            let cp = CostParams::nvm_cluster();
-            tables::table1(1e5, 4096.0, 4.0, 16.0, &cp);
-        }
-        "table2" => {
-            let cp = CostParams::nvm_cluster();
-            tables::table2(1e6, 65536.0, 8.0, &cp);
-            tables::measured_comparison(48, 64, 4, 48);
-        }
-        "theorem4" => theorem4::run(64, 16, 48),
-        "lu-parallel" => lu_par::run(64, 16, 4),
-        "ksm" => ksm::run(32, 8, 10),
-        "bounds" => {
-            bounds_exp::fft_table(&[1 << 10, 1 << 12, 1 << 14], 256);
-            bounds_exp::strassen_table(&[32, 64], 384);
-            bounds_exp::theorem1_table();
-        }
-        "wa-optimal" => waopt::run(24),
-        "sorting" => sorting::run(4096, 64),
-        "model1" => {
-            use parallel::machine::Machine;
-            use parallel::model1::{summa_hoarded, summa_local_wa};
-            use wa_core::Mat;
-            let (n, q) = (64usize, 4usize);
-            let a = Mat::random(n, n, 51);
-            let b = Mat::random(n, n, 52);
-            let mut m1 = Machine::new(q * q, CostParams::nvm_cluster());
-            let (_, step) = summa_local_wa(&mut m1, &a, &b, q, 1 << 20);
-            let mut m2 = Machine::new(q * q, CostParams::nvm_cluster());
-            let (_, hoard) = summa_hoarded(&mut m2, &a, &b, q, 1 << 20);
-            println!(
-                "\n== Model 1 (n={n}, P={}): writes to L2 from L1 vs W1 ==",
-                q * q
-            );
-            println!(
-                "{:<22} {:>12} {:>8} {:>14}",
-                "variant", "L1->L2 words", "W1", "L2 words needed"
-            );
-            println!(
-                "{:<22} {:>12} {:>8} {:>14}",
-                "SUMMA + local WA", step.l2_writes_from_l1, step.w1, step.l2_capacity_needed
-            );
-            println!(
-                "{:<22} {:>12} {:>8} {:>14}",
-                "SUMMA hoarded panels", hoard.l2_writes_from_l1, hoard.w1, hoard.l2_capacity_needed
-            );
-            println!("the bound is attainable only with ~sqrt(P) times the L2 capacity (paper: 'likely not realistic')");
-        }
-        other => {
-            eprintln!("unknown experiment `{other}`; see `harness help`");
-            std::process::exit(2);
-        }
-    };
-
-    if cmd == "all" {
-        for c in [
-            "wa-optimal",
-            "bounds",
-            "lru-props",
-            "fig2",
-            "fig5",
-            "table1",
-            "table2",
-            "theorem4",
-            "lu-parallel",
-            "ksm",
-            "sorting",
-            "model1",
-        ] {
-            run(c);
-        }
-    } else {
-        run(cmd);
-    }
 }

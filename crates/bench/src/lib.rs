@@ -1,27 +1,12 @@
-//! # wa-bench — experiment harness
+//! # wa-bench — registry-driven workload runner
 //!
-//! One module per paper artifact; the `harness` binary dispatches to them.
-//! See DESIGN.md's per-experiment index (E1–E16) and EXPERIMENTS.md for
-//! recorded outputs.
-//!
-//! All experiments run at a *scaled* geometry by default (capacities ÷256
-//! vs. the paper's Xeon 7560, dimensions ÷16) and at the reference scale
-//! (÷64 capacities, ÷8 dimensions) with `--scale paper`; see
-//! [`scale::Scale`] for the exact mapping and `memsim::xeon` for why the
-//! block-per-cache ratios — which drive every observed effect — are
-//! preserved.
+//! [`registry`] assembles every algorithm crate's workloads into one
+//! [`wa_core::Registry`]; [`sweep`] holds the resumable per-cell journal
+//! behind `harness sweep --journal/--resume`. The `harness` binary
+//! (`src/bin/harness.rs`) drives both. The paper's figures and tables are
+//! checked by the registry cells and by unit and integration tests; the
+//! README's "Verifying the paper's claims" section maps each artifact to
+//! the test or cell that checks it.
 
-pub mod bounds_exp;
-pub mod fig2;
-pub mod fig5;
-pub mod ksm;
-pub mod lu_par;
-pub mod props;
 pub mod registry;
-pub mod scale;
-pub mod sorting;
 pub mod sweep;
-pub mod tables;
-pub mod theorem4;
-pub mod util;
-pub mod waopt;

@@ -1,6 +1,8 @@
 //! CLI-level tests of `harness sweep`'s failure semantics: documented
 //! exit codes, the per-cell `status` column, the incremental JSONL
-//! journal, and `--resume` re-running only failed/missing cells.
+//! journal, and `--resume` re-running only failed/missing cells; plus the
+//! usage errors of the other commands and the README's `list --markdown`
+//! table.
 //!
 //! These drive the real binary (`CARGO_BIN_EXE_harness`), so they pin the
 //! contract scripts and CI see, not just the library behavior.
@@ -436,8 +438,28 @@ fn degenerate_flags_are_usage_errors() {
         vec!["curve", "matmul-wa", "--geometric", "0:5:3"],
         vec!["curve", "matmul-wa", "--geometric", "64:32:3"],
         vec!["curve", "matmul-wa", "--capacities", "12,nope"],
+        vec!["exp", "all"],
     ] {
         let out = harness().args(&args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        if args[0] == "exp" {
+            assert!(stderr(&out).contains("unknown command"), "{}", stderr(&out));
+        }
     }
+}
+
+/// The README's workload×backend support table is `harness list
+/// --markdown` verbatim, so registering or changing a cell without
+/// regenerating the README fails here.
+#[test]
+fn readme_support_table_matches_list_markdown() {
+    let out = harness().args(["list", "--markdown"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let table = stdout(&out);
+    let readme_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../README.md");
+    let readme = std::fs::read_to_string(&readme_path).unwrap();
+    assert!(
+        readme.contains(&table),
+        "README.md is missing the current `harness list --markdown` output:\n{table}"
+    );
 }

@@ -474,6 +474,8 @@ mod tests {
             w_stream < w_store / (s as f64 / 2.0),
             "streaming {w_stream} should be ≪ storing {w_store}"
         );
+        // Storing CA-CG writes the basis: the same order as CG.
+        assert!(w_store < 2.0 * w_cg, "storing {w_store} vs CG {w_cg}");
         // Reads/flops at most ~2× the storing variant, as the paper says.
         assert!(
             io_stream.reads() < 2 * io_store.reads() + 1000,

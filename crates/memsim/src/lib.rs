@@ -42,7 +42,6 @@ pub mod policy;
 pub mod probe;
 pub mod report;
 pub mod stack;
-pub mod writebuffer;
 pub mod xeon;
 
 pub use cache::{CacheConfig, LevelCounters};

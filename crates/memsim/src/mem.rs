@@ -14,8 +14,7 @@
 //!   mask per 64 lines it spans.
 //!
 //! [`Access`] is the per-word record of an offline trace, the input of
-//! the Belady and write-buffer replays in [`crate::ideal`] and
-//! [`crate::writebuffer`].
+//! the Belady replay in [`crate::ideal`].
 
 use crate::hierarchy::MemSim;
 use crate::xeon::LINE_WORDS;

@@ -48,7 +48,6 @@ impl XeonGeometry {
     /// reference ÷64 scaling; `Small` shrinks the L3 a further 4× (L1/L2
     /// are already at a practical floor of 8 / 64 lines) and workloads
     /// shrink linear dimensions a further 2× for fast sweeps.
-    /// `wa_bench::scale::Scale::geometry` delegates here.
     pub fn for_scale(scale: wa_core::Scale, policy: Policy) -> Self {
         match scale {
             wa_core::Scale::Paper => XeonGeometry::scaled(64, policy),

@@ -1,6 +1,7 @@
 //! Model-based property tests: the O(1) fully-associative LRU
 //! implementation must agree, access for access, with a naive
-//! reference model (vector of (line, dirty, timestamp)).
+//! reference model (vector of (line, dirty, timestamp)), and must keep
+//! LRU's inclusion property as capacity grows.
 
 use memsim::{CacheConfig, MemSim, Policy};
 use proptest::prelude::*;
@@ -160,5 +161,39 @@ proptest! {
         prop_assert_eq!(c.hits + c.misses, ops.len() as u64);
         prop_assert!(sim.resident_lines(0) <= cap_lines);
         prop_assert_eq!(c.fills - c.victims(), sim.resident_lines(0) as u64);
+    }
+
+    /// LRU inclusion: a bigger fully-associative cache never writes back
+    /// more (flush included) nor misses more. This is why a cache of `M`
+    /// words plus a `K`-word write buffer may be treated as one `M + K`
+    /// cache when bounding write-backs (§2.2).
+    #[test]
+    fn bigger_cache_never_writes_back_more(
+        ops in prop::collection::vec((0usize..1024, any::<bool>()), 1..2000),
+        cap_lines in 1usize..24,
+        extra_lines in 1usize..16,
+    ) {
+        let run = |lines: usize| {
+            let mut sim = MemSim::two_level(CacheConfig {
+                capacity_words: lines * 8,
+                line_words: 8,
+                ways: 0,
+                policy: Policy::Lru,
+            });
+            for &(addr, is_write) in &ops {
+                if is_write {
+                    sim.write(addr);
+                } else {
+                    sim.read(addr);
+                }
+            }
+            sim.flush();
+            let c = sim.llc();
+            (c.victims_m + c.flush_victims_m, c.misses)
+        };
+        let (small_wb, small_misses) = run(cap_lines);
+        let (big_wb, big_misses) = run(cap_lines + extra_lines);
+        prop_assert!(big_wb <= small_wb, "write-backs {} > {}", big_wb, small_wb);
+        prop_assert!(big_misses <= small_misses);
     }
 }

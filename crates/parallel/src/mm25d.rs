@@ -256,7 +256,7 @@ mod tests {
     #[test]
     fn ool2_charges_local_nvm_traffic_theorem4_shape() {
         let n = 32;
-        let (_, m, _, _) = run(n, 16, 1, Staging::L3, true);
+        let (_, m, a, b) = run(n, 16, 1, Staging::L3, true);
         let mc = m.max_counters();
         // L3 reads scale like n³/(P √M2), far above the output size.
         let out = (n * n / 16) as u64;
@@ -266,6 +266,13 @@ mod tests {
             mc.l3_write_words
         );
         assert!(mc.l3_read_words > mc.l3_write_words);
+        // ...while its network volume stays at W2 = 2n²/√P, below what
+        // SUMMAL3ooL2 (which attains W1) receives.
+        let w2 = 2 * (n * n / 4) as u64;
+        assert!(mc.net_recv_words <= w2, "{} vs W2 {w2}", mc.net_recv_words);
+        let mut summa = Machine::new(16, CostParams::nvm_cluster());
+        let _ = crate::summa::summa_l3_ool2(&mut summa, &a, &b, 4, 48);
+        assert!(summa.max_counters().net_recv_words > mc.net_recv_words);
     }
 
     #[test]

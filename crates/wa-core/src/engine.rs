@@ -554,10 +554,9 @@ pub struct FnWorkload {
     pub backends: Vec<BackendKind>,
     /// `(backend, max depth)` overrides; backends not listed model depth 1.
     pub depths: Vec<(BackendKind, usize)>,
-    /// Footprint estimator; `None` falls back to the trait default
-    /// ([`DEFAULT_FOOTPRINT_BYTES`]).
+    /// Footprint estimator ([`Workload::footprint_bytes`]).
     #[allow(clippy::type_complexity)]
-    pub footprint: Option<Box<dyn Fn(Scale, usize) -> u64 + Send + Sync>>,
+    pub footprint: Box<dyn Fn(Scale, usize) -> u64 + Send + Sync>,
     #[allow(clippy::type_complexity)]
     pub run: Box<dyn Fn(RunCfg) -> Result<RunReport, EngineError> + Send + Sync>,
 }
@@ -570,32 +569,20 @@ impl FnWorkload {
         backends: &[BackendKind],
         run: impl Fn(RunCfg) -> Result<RunReport, EngineError> + Send + Sync + 'static,
     ) -> Box<dyn Workload> {
-        FnWorkload::boxed_deep(name, group, description, backends, &[], run)
-    }
-
-    /// Like [`FnWorkload::boxed`] but with per-backend depth overrides for
-    /// workloads that model hierarchies deeper than the two-level default.
-    pub fn boxed_deep(
-        name: &'static str,
-        group: &'static str,
-        description: &'static str,
-        backends: &[BackendKind],
-        depths: &[(BackendKind, usize)],
-        run: impl Fn(RunCfg) -> Result<RunReport, EngineError> + Send + Sync + 'static,
-    ) -> Box<dyn Workload> {
-        Box::new(FnWorkload {
+        FnWorkload::boxed_sized(
             name,
             group,
             description,
-            backends: backends.to_vec(),
-            depths: depths.to_vec(),
-            footprint: None,
-            run: Box::new(run),
-        })
+            backends,
+            &[],
+            |_, _| DEFAULT_FOOTPRINT_BYTES,
+            run,
+        )
     }
 
-    /// Like [`FnWorkload::boxed_deep`] plus a footprint estimator — the
-    /// registration form the algorithm crates use so
+    /// Like [`FnWorkload::boxed`] plus per-backend depth overrides (for
+    /// workloads that model hierarchies deeper than the two-level default;
+    /// backends not listed model depth 1) and a footprint estimator, so
     /// [`RunLimits::mem_budget`] preflights against real sizes instead of
     /// the conservative default.
     pub fn boxed_sized(
@@ -613,7 +600,7 @@ impl FnWorkload {
             description,
             backends: backends.to_vec(),
             depths: depths.to_vec(),
-            footprint: Some(Box::new(footprint)),
+            footprint: Box::new(footprint),
             run: Box::new(run),
         })
     }
@@ -645,10 +632,7 @@ impl Workload for FnWorkload {
     }
 
     fn footprint_bytes(&self, scale: Scale, depth: usize) -> u64 {
-        match &self.footprint {
-            Some(f) => f(scale, depth),
-            None => DEFAULT_FOOTPRINT_BYTES,
-        }
+        (self.footprint)(scale, depth)
     }
 
     fn run_cfg(&self, cfg: RunCfg) -> Result<RunReport, EngineError> {
@@ -1095,12 +1079,13 @@ mod tests {
 
     #[test]
     fn depth_defaults_to_one_and_overrides_apply() {
-        let w = FnWorkload::boxed_deep(
+        let w = FnWorkload::boxed_sized(
             "deep",
             "test",
             "a depth-aware workload",
             &[BackendKind::Raw, BackendKind::Simmed],
             &[(BackendKind::Simmed, 3)],
+            |_, _| DEFAULT_FOOTPRINT_BYTES,
             |cfg| Ok(RunReport::new("deep", cfg.backend, cfg.scale).config("depth", cfg.depth)),
         );
         assert_eq!(w.max_depth(BackendKind::Raw), 1);
