@@ -386,7 +386,7 @@ impl MemSim {
             // the recency update is the real one, since the line is not
             // MRU. The reuse histogram must see it as a full touch (it
             // is not a distance-0 repeat; skipping would leave the
-            // line's Fenwick marker stale and corrupt later distances).
+            // line's recency-stack tick stale and corrupt later distances).
             if let Some((memo_line, slot)) = self.memo[1] {
                 if memo_line == line && self.levels[0].slot_holds(slot, line) {
                     self.levels[0].rehit(slot, self.clock, is_write);
@@ -930,7 +930,7 @@ mod tests {
         assert_eq!(m.dram_writes_lines, 1);
         // Reuse histogram: 2 cold line touches, 14 + 7 bulk repeats, and
         // one distance-1 reuse at the line-0 boundary of the write span
-        // (a memo[1] hit, which must still advance the Fenwick state).
+        // (a memo[1] hit, which must still advance the recency stack).
         let h = m.probe().unwrap().reuse().unwrap();
         assert_eq!(h.cold, 2);
         assert_eq!(h.repeats, 21);

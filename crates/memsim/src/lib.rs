@@ -40,6 +40,7 @@ pub mod ideal;
 pub mod mem;
 pub mod policy;
 pub mod probe;
+mod recency;
 pub mod report;
 pub mod stack;
 pub mod xeon;

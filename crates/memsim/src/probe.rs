@@ -12,15 +12,17 @@
 //! thousands of times still reports exactly two rows.
 //!
 //! The [`ReuseHist`] is the classical Mattson/LRU stack-distance
-//! histogram over the line-granular access stream, computed with a
-//! Fenwick tree over access ticks (`O(log n)` per *distinct-line* touch).
-//! Consecutive same-line accesses — the simulator's memo/bulk fast path —
-//! are distance-0 by definition and are folded in as O(1) bucket bumps,
-//! so the histogram costs nothing extra on the hot path it would
-//! otherwise destroy. This is the input a future Mattson backend consumes
-//! (one pass → hit rates at every capacity).
+//! histogram over the line-granular access stream, in power-of-two
+//! buckets (`harness profile --reuse`). Its distances come from the
+//! recency stack it shares with the `stack` backend's
+//! [`crate::StackSim`]: one rank query per *distinct-line* touch, in
+//! O(footprint) memory. Consecutive same-line accesses — the simulator's
+//! memo/bulk fast path — are distance-0 by definition and are folded in
+//! as O(1) bucket bumps, so the histogram costs nothing extra on the hot
+//! path it would otherwise destroy.
 
 use crate::cache::LevelCounters;
+use crate::recency::RecencyStack;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -181,63 +183,6 @@ impl Probe {
     }
 }
 
-/// Fenwick (binary-indexed) tree over access ticks `1..=n`, holding a 1
-/// at each line's most recent access position. Grows by doubling.
-/// Shared by [`ReuseHist`] and the Mattson stack simulator
-/// (`crate::stack::StackSim`), which both derive stack distances from
-/// prefix sums over it.
-pub(crate) struct Fenwick {
-    /// `fen.len() == n + 1`; index 0 unused.
-    fen: Vec<i64>,
-    /// Tree size (power of two).
-    n: usize,
-}
-
-impl Fenwick {
-    pub(crate) fn new() -> Fenwick {
-        Fenwick {
-            fen: vec![0; 65],
-            n: 64,
-        }
-    }
-
-    /// Grow until `tick` is addressable.
-    pub(crate) fn ensure(&mut self, tick: usize) {
-        while tick > self.n {
-            self.grow();
-        }
-    }
-
-    /// Double the tree. The only node whose range reaches into the past
-    /// is the new root `2n` (covers `1..=2n`); its value is the current
-    /// total, which at size `n` (a power of two) is exactly `fen[n]`.
-    /// Every other new node's range lies wholly in the not-yet-ticked
-    /// future, so zero is correct.
-    fn grow(&mut self) {
-        let total = self.fen[self.n];
-        self.n *= 2;
-        self.fen.resize(self.n + 1, 0);
-        self.fen[self.n] = total;
-    }
-
-    pub(crate) fn add(&mut self, mut i: usize, v: i64) {
-        while i <= self.n {
-            self.fen[i] += v;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Sum of positions `1..=i`.
-    pub(crate) fn prefix(&self, mut i: usize) -> i64 {
-        let mut s = 0;
-        while i > 0 {
-            s += self.fen[i];
-            i -= i & i.wrapping_neg();
-        }
-        s
-    }
-}
-
 /// Mattson (LRU stack-distance) histogram over the line access stream.
 ///
 /// `touch(line)` records one *distinct-line-boundary* access: distance =
@@ -246,20 +191,16 @@ impl Fenwick {
 /// `d = 1`, `d ∈ [2,3]`, `[4,7]`, … (powers of two). Consecutive
 /// same-line repeats are distance 0 and are recorded in bulk via
 /// [`ReuseHist::record_repeats`] into the separate [`ReuseHist::repeats`]
-/// counter without touching the Fenwick tree — valid precisely because
+/// counter without touching the recency stack — valid precisely because
 /// they are contiguous, so they carry no distinct-line information.
 /// Keeping them out of `buckets[0]` means the buckets count exactly the
 /// full-walk touches while `total()` still equals every line touch.
 pub struct ReuseHist {
-    /// `line -> tick of its last full-walk access`.
-    last: HashMap<u64, usize>,
-    /// Fenwick tree over ticks: 1 where a line's most recent access sits.
-    fen: Fenwick,
-    tick: usize,
+    stack: RecencyStack<()>,
     /// First-ever touches (infinite distance).
     pub cold: u64,
     /// Memoized consecutive same-line repeats (distance 0 by
-    /// construction, never walked through the Fenwick tree).
+    /// construction, never walked through the recency stack).
     pub repeats: u64,
     /// `buckets[0]` = distance 0; `buckets[i]` = distance in
     /// `[2^(i-1), 2^i - 1]` for `i ≥ 1`. Full-walk touches only.
@@ -275,9 +216,7 @@ impl Default for ReuseHist {
 impl ReuseHist {
     pub fn new() -> ReuseHist {
         ReuseHist {
-            last: HashMap::new(),
-            fen: Fenwick::new(),
-            tick: 0,
+            stack: RecencyStack::new(),
             cold: 0,
             repeats: 0,
             buckets: vec![0],
@@ -292,22 +231,16 @@ impl ReuseHist {
     /// Record one access to `line` at a line boundary (a full-walk access
     /// in the simulator).
     pub fn touch(&mut self, line: u64) {
-        self.tick += 1;
-        self.fen.ensure(self.tick);
-        match self.last.insert(line, self.tick) {
+        match self.stack.touch(line).0 {
             None => self.cold += 1,
-            Some(prev) => {
-                // Distinct lines touched strictly between prev and now.
-                let d = (self.fen.prefix(self.tick - 1) - self.fen.prefix(prev)) as u64;
+            Some(d) => {
                 let b = bucket_of(d);
                 if self.buckets.len() <= b {
                     self.buckets.resize(b + 1, 0);
                 }
                 self.buckets[b] += 1;
-                self.fen.add(prev, -1);
             }
         }
-        self.fen.add(self.tick, 1);
     }
 
     /// Total recorded accesses (cold + repeats + boundary touches) —

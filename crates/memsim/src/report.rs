@@ -141,7 +141,7 @@ pub fn memsim_report(sim: &MemSim, report: RunReport) -> RunReport {
 pub fn stack_report(sim: &StackSim, fast_words: usize, report: RunReport) -> RunReport {
     let curve = sim.curve();
     let p = curve.at(fast_words as u64);
-    let lw = sim.line_words() as u64;
+    let lw = curve.line_words;
     let mut bt = BoundaryTraffic::new(2);
     let b = bt.boundary_mut(0);
     b.load_words = p.fills * lw;

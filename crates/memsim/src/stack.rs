@@ -44,77 +44,36 @@
 //! satisfy the stack property, and neither do `MemSim`'s stacked
 //! hierarchies (an L1 hit does not refresh L2 recency).
 //!
-//! Distances are computed with the same Fenwick-tree-over-ticks scheme
-//! as [`crate::ReuseHist`] (`O(log n)` per distinct-line touch). A
-//! two-entry recency memo keeps the hot patterns cheap: consecutive
-//! repeats are O(1) (distance 0 touches no histogram), and the
-//! second-most-recent line has distance exactly 1 by construction, so
-//! its touch skips both Fenwick prefix queries.
+//! Distances come from the recency stack shared with
+//! [`crate::ReuseHist`] (`crate::recency`): a dense line table plus one
+//! rank query per distinct-line touch over a tick window that compacts,
+//! so memory is O(footprint), not O(trace). A two-entry recency memo
+//! keeps the hot patterns cheap: consecutive repeats are O(1) (distance
+//! 0 touches no histogram), and the second-most-recent line has distance
+//! exactly 1 by construction, so its touch skips the rank query.
 
 use crate::mem::Mem;
-use crate::probe::Fenwick;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use crate::recency::RecencyStack;
+use crate::xeon::LINE_WORDS;
 use wa_core::curve::CapacityCurve;
 pub use wa_core::AccessRun;
 
-/// Multiply-fold hasher for line numbers — the map's only key type. The
-/// default SipHash costs more than the Fenwick work on this hot path;
-/// a Fibonacci multiply with the high bits folded down suffices for
-/// sequential/strided line keys.
-#[derive(Default)]
-struct LineHasher(u64);
-
-impl Hasher for LineHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("line keys hash through write_u64");
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        let h = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-}
-
-type LineMap = HashMap<u64, LineState, BuildHasherDefault<LineHasher>>;
-
-/// Per-line state of the Mattson stack.
-struct LineState {
-    /// Fenwick tick of the line's most recent (non-repeat) touch.
-    pos: usize,
-    /// Has the line ever been written? (Clean lines never owe
-    /// write-backs at any capacity.)
-    written: bool,
-    /// Deepest stack distance reached since the last write.
-    maxd: u64,
-}
-
-/// One-pass all-capacities FA-LRU simulator. Feed it the same
-/// word-granular access stream as [`crate::MemSim`] (via [`Mem`] through
-/// [`StackMem`], or the `read`/`write`/`*_range`/`run` calls directly),
-/// then project any capacity list with [`StackSim::curve`].
+/// One-pass all-capacities FA-LRU simulator over [`LINE_WORDS`]-word
+/// lines — the same line size as every engine `simmed` hierarchy. Feed
+/// it the same word-granular access stream as [`crate::MemSim`] (via
+/// [`Mem`] through [`StackMem`], or the `read`/`write`/`*_range`/`run`
+/// calls directly), then project any capacity list with
+/// [`StackSim::curve`].
 pub struct StackSim {
-    line_words: usize,
-    /// Non-repeat touch counter (Fenwick positions).
-    tick: usize,
-    /// 1 at each line's most recent touch position.
-    fen: Fenwick,
-    lines: LineMap,
+    /// Per line, `maxd`: the deepest stack distance reached since the
+    /// last write, `None` until the line is first written (clean lines
+    /// never owe write-backs at any capacity).
+    stack: RecencyStack<Option<u64>>,
     /// Most recently touched line: consecutive repeats are distance 0.
     memo: Option<u64>,
-    /// A repeat *write* happened during the current `memo` streak; its
-    /// dirtying effect (written = true, maxd = 0) is applied to the memo
-    /// line's map entry when the streak ends — and virtually by
-    /// [`StackSim::curve`] if the trace ends mid-streak — so repeat
-    /// writes stay O(1) with no map lookup.
-    memo_dirty: bool,
     /// Second-most-recent distinct line: its next touch has stack
-    /// distance exactly 1 (only `memo` intervened), so no Fenwick
-    /// prefix queries are needed.
+    /// distance exactly 1 (only `memo` intervened), so no rank query is
+    /// needed.
     memo2: Option<u64>,
     word_accesses: u64,
     repeats: u64,
@@ -155,14 +114,7 @@ fn cumulate(mut v: Vec<u64>) -> Vec<u64> {
 }
 
 impl StackSim {
-    /// A stack simulator over [`crate::LINE_WORDS`]-word lines — the same
-    /// line size as every engine `simmed` hierarchy.
     pub fn new() -> StackSim {
-        StackSim::with_line_words(crate::xeon::LINE_WORDS)
-    }
-
-    pub fn with_line_words(line_words: usize) -> StackSim {
-        assert!(line_words > 0, "line size must be positive");
         let cancel_token = wa_core::cancel::current();
         let cancel_check_at = if cancel_token.is_some() {
             wa_core::cancel::CHECK_INTERVAL
@@ -170,12 +122,8 @@ impl StackSim {
             u64::MAX
         };
         StackSim {
-            line_words,
-            tick: 0,
-            fen: Fenwick::new(),
-            lines: LineMap::default(),
+            stack: RecencyStack::new(),
             memo: None,
-            memo_dirty: false,
             memo2: None,
             word_accesses: 0,
             repeats: 0,
@@ -201,13 +149,9 @@ impl StackSim {
         }
     }
 
-    pub fn line_words(&self) -> usize {
-        self.line_words
-    }
-
     /// Distinct lines touched so far.
     pub fn footprint_lines(&self) -> u64 {
-        self.lines.len() as u64
+        self.stack.footprint()
     }
 
     /// Total word accesses recorded.
@@ -218,21 +162,13 @@ impl StackSim {
     /// Record a read of word address `addr`.
     #[inline]
     pub fn read(&mut self, addr: usize) {
-        self.word_accesses += 1;
-        if self.word_accesses >= self.cancel_check_at {
-            self.cancel_checkpoint();
-        }
-        self.touch_line(addr as u64 / self.line_words as u64, false);
+        self.range_access(addr, 1, false);
     }
 
     /// Record a write of word address `addr`.
     #[inline]
     pub fn write(&mut self, addr: usize) {
-        self.word_accesses += 1;
-        if self.word_accesses >= self.cancel_check_at {
-            self.cancel_checkpoint();
-        }
-        self.touch_line(addr as u64 / self.line_words as u64, true);
+        self.range_access(addr, 1, true);
     }
 
     /// Record a sequential read scan of `[addr, addr + words)`.
@@ -257,38 +193,23 @@ impl StackSim {
     /// [`crate::SimMem`].
     pub fn phase(&mut self, _name: &str) {}
 
+    #[inline]
     fn range_access(&mut self, addr: usize, words: usize, is_write: bool) {
-        let lw = self.line_words;
         let end = addr + words;
         let mut a = addr;
         while a < end {
-            let line_end = (a / lw + 1) * lw;
+            let line_end = (a / LINE_WORDS + 1) * LINE_WORDS;
             let in_line = line_end.min(end) - a;
             self.word_accesses += in_line as u64;
             if self.word_accesses >= self.cancel_check_at {
                 self.cancel_checkpoint();
             }
-            self.touch_line(a as u64 / lw as u64, is_write);
-            if in_line > 1 {
-                // The remaining words of the interval are distance-0
-                // repeats of the line just touched; `touch_line` already
-                // applied the write's dirtying effect.
-                self.repeats += (in_line - 1) as u64;
-            }
+            self.touch_line((a / LINE_WORDS) as u64, is_write);
+            // The remaining words of the interval are distance-0 repeats
+            // of the line just touched; `touch_line` already applied the
+            // write's dirtying effect.
+            self.repeats += (in_line - 1) as u64;
             a = line_end;
-        }
-    }
-
-    /// Apply a memo streak's pending repeat-write dirtying to the memo
-    /// line's map entry. Must run before the streak ends (the entry is
-    /// never read mid-streak, so deferring until here is exact).
-    fn flush_memo_dirty(&mut self) {
-        if self.memo_dirty {
-            let prev = self.memo.expect("memo_dirty implies an active memo");
-            let st = self.lines.get_mut(&prev).expect("memo line is mapped");
-            st.written = true;
-            st.maxd = 0;
-            self.memo_dirty = false;
         }
     }
 
@@ -297,68 +218,39 @@ impl StackSim {
     fn touch_line(&mut self, line: u64, is_write: bool) {
         if self.memo == Some(line) {
             // Distance 0: hits at every capacity ≥ 1 line, so it affects
-            // no histogram — but a repeat *write* re-dirties the line
-            // (applied lazily when the streak ends).
+            // no histogram — but a repeat *write* re-dirties the line.
             self.repeats += 1;
-            self.memo_dirty |= is_write;
+            if is_write {
+                *self.stack.state_mut(line) = Some(0);
+            }
             return;
         }
-        self.flush_memo_dirty();
-        self.tick += 1;
-        self.fen.ensure(self.tick);
-        if self.memo2 == Some(line) {
-            // Second-most-recent line: exactly one distinct line (the
-            // memo) was touched since, so d = 1 with no prefix queries.
-            let st = self.lines.get_mut(&line).expect("memo2 line is mapped");
-            bump(&mut self.dist, 1);
-            if st.written && st.maxd == 0 {
-                bump(&mut self.wb_lo, 1);
-                bump(&mut self.wb_hi, 1);
-            }
-            self.fen.add(st.pos, -1);
-            st.pos = self.tick;
-            if is_write {
-                st.written = true;
-                st.maxd = 0;
-            } else {
-                st.maxd = st.maxd.max(1);
-            }
+        // Second-most-recent line: exactly one distinct line (the memo)
+        // was touched since, so d = 1 with no rank query.
+        let (d, maxd) = if self.memo2 == Some(line) {
+            (Some(1), self.stack.retouch(line))
         } else {
-            match self.lines.get_mut(&line) {
-                None => {
-                    self.cold += 1;
-                    self.lines.insert(
-                        line,
-                        LineState {
-                            pos: self.tick,
-                            written: is_write,
-                            maxd: 0,
-                        },
-                    );
-                }
-                Some(st) => {
-                    // Distinct other lines touched since the previous touch.
-                    let d = (self.fen.prefix(self.tick - 1) - self.fen.prefix(st.pos)) as u64;
-                    bump(&mut self.dist, d as usize);
-                    // The eviction this access would re-fetch after is dirty
-                    // for capacities in [maxd+1, d] (empty when the line
-                    // already missed at every capacity it was dirty for).
-                    if st.written && st.maxd < d {
-                        bump(&mut self.wb_lo, st.maxd as usize + 1);
+            self.stack.touch(line)
+        };
+        match d {
+            None => self.cold += 1,
+            Some(d) => {
+                bump(&mut self.dist, d as usize);
+                // The eviction this access would re-fetch after is dirty
+                // for capacities in [maxd+1, d] (empty when the line
+                // already missed at every capacity it was dirty for).
+                if let Some(m) = maxd {
+                    if *m < d {
+                        bump(&mut self.wb_lo, *m as usize + 1);
                         bump(&mut self.wb_hi, d as usize);
-                    }
-                    self.fen.add(st.pos, -1);
-                    st.pos = self.tick;
-                    if is_write {
-                        st.written = true;
-                        st.maxd = 0;
-                    } else {
-                        st.maxd = st.maxd.max(d);
+                        *m = d;
                     }
                 }
             }
         }
-        self.fen.add(self.tick, 1);
+        if is_write {
+            *maxd = Some(0);
+        }
         self.memo2 = self.memo;
         self.memo = Some(line);
     }
@@ -374,21 +266,10 @@ impl StackSim {
         let mut wb_lo = self.wb_lo.clone();
         let mut wb_hi = self.wb_hi.clone();
         let mut flush = Vec::new();
-        for (&line, st) in self.lines.iter() {
-            // A trace ending mid-streak may owe the memo line a pending
-            // repeat-write dirtying; apply it virtually (curve() must not
-            // mutate the simulator).
-            let (written, maxd) = if self.memo_dirty && self.memo == Some(line) {
-                (true, 0)
-            } else {
-                (st.written, st.maxd)
-            };
-            if !written {
-                continue;
-            }
-            // Distinct lines touched after this line's last access: the
-            // line is evicted before end-of-trace iff capacity ≤ e.
-            let e = (self.fen.prefix(self.tick) - self.fen.prefix(st.pos)) as u64;
+        // `e` = distinct lines touched after the line's last access: the
+        // line is evicted before end-of-trace iff capacity ≤ e.
+        for (e, &maxd) in self.stack.lines() {
+            let Some(maxd) = maxd else { continue };
             if maxd < e {
                 // Dirty-evicted during the run for C in [maxd+1, e],
                 // with no later access to emit it — fold it here.
@@ -400,12 +281,12 @@ impl StackSim {
             bump(&mut flush, maxd.max(e) as usize + 1);
         }
         CapacityCurve {
-            line_words: self.line_words as u64,
+            line_words: LINE_WORDS as u64,
             word_accesses: self.word_accesses,
             line_touches: self.cold + self.repeats + self.dist.iter().sum::<u64>(),
             repeats: self.repeats,
             cold: self.cold,
-            footprint_lines: self.lines.len() as u64,
+            footprint_lines: self.stack.footprint(),
             dist_cum: cumulate(self.dist.clone()),
             wb_lo_cum: cumulate(wb_lo),
             wb_hi_cum: cumulate(wb_hi),
@@ -638,5 +519,26 @@ mod tests {
         m.phase("ignored");
         assert_eq!(m.sim.word_accesses(), 2 + 16);
         assert_eq!(m.sim.footprint_lines(), 2);
+    }
+
+    #[test]
+    fn window_stays_bounded_by_the_footprint_on_a_long_trace() {
+        // A million distinct-line touches cycling over 10 lines: the tick
+        // window must compact instead of growing with the trace.
+        let mut s = StackSim::new();
+        for i in 0..1_000_000usize {
+            s.read((i * 7 % 10) * 8);
+        }
+        assert_eq!(s.footprint_lines(), 10);
+        assert!(
+            s.stack.window() <= 4 * 10 + 64,
+            "window {} grew past 4 × footprint + 64",
+            s.stack.window()
+        );
+        // Distances are still exact after thousands of compactions: every
+        // reuse of the 10-cycle sits at distance 9.
+        let c = s.curve();
+        assert_eq!(c.at(9 * 8).fills, 1_000_000);
+        assert_eq!(c.at(10 * 8).fills, 10);
     }
 }

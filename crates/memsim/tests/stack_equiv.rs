@@ -6,7 +6,11 @@
 //! dirty victims, flush write-backs, and word-granular hits alike. These
 //! property tests drive random run traces and random capacity lists
 //! through both simulators, plus the edge cases (empty trace, capacity
-//! beyond the footprint, write-only streams).
+//! beyond the footprint, write-only streams). Long traces over a few
+//! lines force many compactions of the recency stack's tick window.
+//!
+//! The recency stack's other client, the probe's [`memsim::ReuseHist`],
+//! must bucket exactly the distances the stack simulator counts.
 
 use memsim::{AccessRun, MemSim, StackSim};
 use proptest::prelude::*;
@@ -54,17 +58,59 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random run traces over a small address space (heavy reuse and
-    /// eviction pressure), checked at a random capacity list.
+    /// eviction pressure), checked at a random capacity list. A random
+    /// tail of up to thousands of runs over a few lines follows: its
+    /// distinct-line touches fill the tick window many times over, so
+    /// distances must survive repeated compactions.
     #[test]
     fn random_traces_match_reference_at_random_capacities(
         spec in prop::collection::vec((0usize..160, 1usize..24, any::<bool>()), 1..40),
+        tail in prop::collection::vec((0usize..40, 1usize..12, any::<bool>()), 0..4000),
         caps in prop::collection::vec(1usize..30, 1..6),
+    ) {
+        let runs: Vec<AccessRun> = spec
+            .iter()
+            .chain(&tail)
+            .map(|&(addr, words, is_write)| AccessRun { addr, words, is_write })
+            .collect();
+        assert_curve_matches(&runs, &caps);
+    }
+
+    /// The two recency-stack clients agree on random line streams: a
+    /// `MemSim` probe's bucketed `ReuseHist` equals the `StackSim` exact
+    /// distance histogram after bucketing, with the same cold and repeat
+    /// counts.
+    #[test]
+    fn reuse_hist_buckets_the_stack_distance_histogram(
+        spec in prop::collection::vec((0usize..400, 1usize..24, any::<bool>()), 1..2000),
     ) {
         let runs: Vec<AccessRun> = spec
             .iter()
             .map(|&(addr, words, is_write)| AccessRun { addr, words, is_write })
             .collect();
-        assert_curve_matches(&runs, &caps);
+        let mut m = MemSim::single_level_lru(64);
+        m.attach_probe(true);
+        m.run(&runs);
+        let h = m.probe().unwrap().reuse().unwrap();
+        let mut s = StackSim::new();
+        s.run(&runs);
+        let curve = s.curve();
+        prop_assert_eq!(h.cold, curve.cold);
+        prop_assert_eq!(h.repeats, curve.repeats);
+        let mut buckets = vec![0u64];
+        let mut below = 0;
+        for (d, &cum) in curve.dist_cum.iter().enumerate() {
+            let b = if d == 0 { 0 } else { 64 - (d as u64).leading_zeros() as usize };
+            if buckets.len() <= b {
+                buckets.resize(b + 1, 0);
+            }
+            buckets[b] += cum - below;
+            below = cum;
+        }
+        // Trailing empty buckets carry no information.
+        let trim = |v: &[u64]| v[..v.iter().rposition(|&n| n > 0).map_or(1, |i| i + 1)].to_vec();
+        prop_assert_eq!(trim(&h.buckets), trim(&buckets));
+        prop_assert_eq!(h.total(), curve.line_touches);
     }
 
     /// Write-heavy ping-pong + strided spans: maximizes dirty evictions,
