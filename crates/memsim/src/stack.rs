@@ -55,7 +55,7 @@
 use crate::mem::Mem;
 use crate::recency::RecencyStack;
 use crate::xeon::LINE_WORDS;
-use wa_core::curve::CapacityCurve;
+use wa_core::curve::{CapacityCurve, CumSteps};
 pub use wa_core::AccessRun;
 
 /// One-pass all-capacities FA-LRU simulator over [`LINE_WORDS`]-word
@@ -101,16 +101,6 @@ fn bump(v: &mut Vec<u64>, i: usize) {
         v.resize(i + 1, 0);
     }
     v[i] += 1;
-}
-
-/// Turn a histogram into its running (cumulative) sums, in place.
-fn cumulate(mut v: Vec<u64>) -> Vec<u64> {
-    let mut acc = 0;
-    for x in v.iter_mut() {
-        acc += *x;
-        *x = acc;
-    }
-    v
 }
 
 impl StackSim {
@@ -287,10 +277,10 @@ impl StackSim {
             repeats: self.repeats,
             cold: self.cold,
             footprint_lines: self.stack.footprint(),
-            dist_cum: cumulate(self.dist.clone()),
-            wb_lo_cum: cumulate(wb_lo),
-            wb_hi_cum: cumulate(wb_hi),
-            flush_cum: cumulate(flush),
+            dist_cum: CumSteps::from_counts(&self.dist),
+            wb_lo_cum: CumSteps::from_counts(&wb_lo),
+            wb_hi_cum: CumSteps::from_counts(&wb_hi),
+            flush_cum: CumSteps::from_counts(&flush),
         }
     }
 }

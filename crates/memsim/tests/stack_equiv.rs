@@ -99,7 +99,7 @@ proptest! {
         prop_assert_eq!(h.repeats, curve.repeats);
         let mut buckets = vec![0u64];
         let mut below = 0;
-        for (d, &cum) in curve.dist_cum.iter().enumerate() {
+        for (d, cum) in curve.dist_cum.to_vec().into_iter().enumerate() {
             let b = if d == 0 { 0 } else { 64 - (d as u64).leading_zeros() as usize };
             if buckets.len() <= b {
                 buckets.resize(b + 1, 0);

@@ -72,16 +72,25 @@ pub fn explicit_kbody_wa(p: &[Particle], hier: &mut ExplicitHier) -> Vec<Vec3> {
             while k < n {
                 let bk = b.min(n - k);
                 hier.load(0, bk as u64); // P(3)(i3)
+                let (pj, pk) = (&p[j..j + bj], &p[k..k + bk]);
                 for ii in i..i + bi {
-                    for jj in j..j + bj {
-                        for kk in k..k + bk {
-                            if jj != kk && ii != jj && ii != kk {
+                    let pi = p[ii];
+                    // F(ii) stays in a register across the (jj, kk) sweep,
+                    // accumulated in the same order as a per-term update.
+                    let mut acc = f[ii];
+                    for (jj, &q) in (j..).zip(pj) {
+                        if jj == ii {
+                            continue;
+                        }
+                        for (kk, &r) in (k..).zip(pk) {
+                            if kk != jj && kk != ii {
                                 // Ordered pairs double-count each {j,k}:
                                 // scale by 1/2 to match the reference.
-                                f[ii] = f[ii].add(phi3(p[ii], p[jj], p[kk]).scale(0.5));
+                                acc = acc.add(phi3(pi, q, r).scale(0.5));
                             }
                         }
                     }
+                    f[ii] = acc;
                 }
                 hier.flop((bi * bj * bk) as u64);
                 hier.free(1, bk as u64);
@@ -159,6 +168,43 @@ mod tests {
         let want = reference_forces_3body(&p);
         for (a, b) in f.iter().zip(&want) {
             assert!(a.max_abs_diff(*b) < 1e-12, "{a:?} vs {b:?}");
+        }
+    }
+
+    /// The (N,3) sweep as first written: one `f[ii]` update per term.
+    fn triple_loop_3body(p: &[Particle], b: usize) -> Vec<Vec3> {
+        let n = p.len();
+        let mut f = vec![Vec3::default(); n];
+        for i in (0..n).step_by(b) {
+            for j in (0..n).step_by(b) {
+                for k in (0..n).step_by(b) {
+                    for ii in i..(i + b).min(n) {
+                        for jj in j..(j + b).min(n) {
+                            for kk in k..(k + b).min(n) {
+                                if jj != kk && ii != jj && ii != kk {
+                                    f[ii] = f[ii].add(phi3(p[ii], p[jj], p[kk]).scale(0.5));
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        f
+    }
+
+    #[test]
+    fn wa_3body_is_bit_identical_to_the_triple_loop() {
+        // Capacities 4, 12, 16 and 200 give b = 1, 3, 4 and b > n.
+        for (n, m) in [(14, 16), (11, 12), (5, 4), (9, 200)] {
+            let p = Particle::random_cloud(n, 17);
+            let mut h = ExplicitHier::two_level(m);
+            let b = ((m / 4) as usize).max(1);
+            assert_eq!(
+                explicit_kbody_wa(&p, &mut h),
+                triple_loop_3body(&p, b),
+                "n = {n}, M = {m}"
+            );
         }
     }
 

@@ -84,6 +84,10 @@ impl Particle {
 
 /// Softened gravitational pairwise force of `q` on `p`
 /// (`Φ₂(p, p) = 0` by convention, as the paper assumes).
+///
+/// `(r² + ε²)^(-3/2)` is formed as `1 / (s·√s)`: a correctly rounded
+/// square root, a product and a quotient, within a few ulp of libm's
+/// `powf(-1.5)` and several times cheaper in the pairwise inner loop.
 #[inline]
 pub fn phi2(p: Particle, q: Particle) -> Vec3 {
     let d = q.pos.sub(p.pos);
@@ -91,7 +95,8 @@ pub fn phi2(p: Particle, q: Particle) -> Vec3 {
     if r2 == 0.0 {
         return Vec3::default();
     }
-    let inv = (r2 + EPS2).powf(-1.5);
+    let s = r2 + EPS2;
+    let inv = 1.0 / (s * s.sqrt());
     d.scale(p.mass * q.mass * inv)
 }
 
@@ -164,6 +169,54 @@ mod tests {
             mass: 2.0,
         };
         assert_eq!(phi2(p, p), Vec3::default());
+    }
+
+    /// `phi2` as first written, with libm's `powf(-1.5)`.
+    fn phi2_powf(p: Particle, q: Particle) -> Vec3 {
+        let d = q.pos.sub(p.pos);
+        let r2 = d.norm2();
+        if r2 == 0.0 {
+            return Vec3::default();
+        }
+        d.scale(p.mass * q.mass * (r2 + EPS2).powf(-1.5))
+    }
+
+    /// Largest component error of `a` against `b`, in units of
+    /// `f64::EPSILON · |b|` (relative ulp).
+    fn rel_ulps(a: Vec3, b: Vec3) -> f64 {
+        [(a.x, b.x), (a.y, b.y), (a.z, b.z)]
+            .iter()
+            .map(|&(a, b)| {
+                if a == b {
+                    0.0
+                } else {
+                    (a - b).abs() / (f64::EPSILON * b.abs())
+                }
+            })
+            .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn phi2_agrees_with_the_powf_form_within_4_ulp() {
+        let mut worst = 0.0f64;
+        for seed in 1..6 {
+            let c = Particle::random_cloud(60, seed);
+            for &p in &c {
+                for &q in &c {
+                    worst = worst.max(rel_ulps(phi2(p, q), phi2_powf(p, q)));
+                }
+            }
+        }
+        // r2 == 0 and r2 ≪ EPS2: the softening dominates the law.
+        let p = Particle::random_cloud(1, 7)[0];
+        assert_eq!(phi2(p, p), Vec3::default());
+        for off in [1e-300, 1e-150, 1e-12, 1e-8, 1e-4] {
+            let mut q = p;
+            q.pos.x += off;
+            q.pos.z -= off / 3.0;
+            worst = worst.max(rel_ulps(phi2(p, q), phi2_powf(p, q)));
+        }
+        assert!(worst <= 4.0, "phi2 is {worst} relative ulp off powf(-1.5)");
     }
 
     #[test]

@@ -38,9 +38,8 @@ pub fn load_forces<M: Mem>(mem: &mut M, n: usize) -> Vec<Vec3> {
         .collect()
 }
 
-fn ld_particle<M: Mem>(mem: &mut M, i: usize) -> Particle {
-    let mut w = [0.0; 4];
-    mem.ld_run(particle_base(i), &mut w);
+/// The particle stored in one body's 4-word run.
+fn body(w: &[f64]) -> Particle {
     Particle {
         pos: Vec3 {
             x: w[0],
@@ -51,11 +50,24 @@ fn ld_particle<M: Mem>(mem: &mut M, i: usize) -> Particle {
     }
 }
 
+fn ld_particle<M: Mem>(mem: &mut M, i: usize) -> Particle {
+    let mut w = [0.0; WORDS_PER_BODY];
+    mem.ld_run(particle_base(i), &mut w);
+    body(&w)
+}
+
 /// Blocked WA (N,2)-body over a [`Mem`], block size `b` particles: force
 /// accumulators for the `i` block are held in registers across the whole
 /// `j` sweep (the access-level analogue of Algorithm 4's F-block
 /// residency), written once per block.
+///
+/// Each target `ii` reads the `j` block as at most two runs that skip
+/// particle `ii` itself, into one buffer reused across the sweep. The
+/// word stream is the one a 4-word load per particle `jj ≠ ii` would
+/// emit, so every simulator counter is the same; only the number of
+/// [`Mem`] calls drops.
 pub fn simmed_nbody_wa<M: Mem>(mem: &mut M, n: usize, b: usize) {
+    let mut block = vec![0.0; b.min(n) * WORDS_PER_BODY];
     let mut i = 0;
     while i < n {
         let bi = b.min(n - i);
@@ -78,11 +90,19 @@ pub fn simmed_nbody_wa<M: Mem>(mem: &mut M, n: usize, b: usize) {
                     y: f[1],
                     z: f[2],
                 };
-                for jj in j..j + bj {
-                    if ii != jj {
-                        let pj = ld_particle(mem, jj);
-                        acc = acc.add(phi2(pi, pj));
-                    }
+                // Particles j..ii land in `head`, ii+1..j+bj in `tail`.
+                let hole = (j..j + bj).contains(&ii);
+                let before = if hole { ii - j } else { bj };
+                let others = &mut block[..(bj - usize::from(hole)) * WORDS_PER_BODY];
+                let (head, tail) = others.split_at_mut(before * WORDS_PER_BODY);
+                if !head.is_empty() {
+                    mem.ld_run(particle_base(j), head);
+                }
+                if !tail.is_empty() {
+                    mem.ld_run(particle_base(ii + 1), tail);
+                }
+                for w in others.chunks_exact(WORDS_PER_BODY) {
+                    acc = acc.add(phi2(pi, body(w)));
                 }
                 mem.st_run(force_base(n, ii), &[acc.x, acc.y, acc.z]);
             }
@@ -96,7 +116,107 @@ pub fn simmed_nbody_wa<M: Mem>(mem: &mut M, n: usize, b: usize) {
 mod tests {
     use super::*;
     use crate::force::reference_forces;
-    use memsim::{CacheConfig, MemSim, Policy, RawMem, SimMem};
+    use memsim::{CacheConfig, MemSim, Policy, RawMem, SimMem, StackMem};
+
+    /// Records every word access as `(addr, is_write)`. Runs fall back to
+    /// the per-word defaults, so run boundaries do not show.
+    struct Recorder {
+        data: Vec<f64>,
+        log: Vec<(usize, bool)>,
+    }
+
+    impl Mem for Recorder {
+        fn ld(&mut self, addr: usize) -> f64 {
+            self.log.push((addr, false));
+            self.data[addr]
+        }
+
+        fn st(&mut self, addr: usize, v: f64) {
+            self.log.push((addr, true));
+            self.data[addr] = v;
+        }
+
+        fn len(&self) -> usize {
+            self.data.len()
+        }
+    }
+
+    /// The kernel as first written: one 4-word load per particle `jj ≠ ii`.
+    fn per_particle_kernel<M: Mem>(mem: &mut M, n: usize, b: usize) {
+        let mut i = 0;
+        while i < n {
+            let bi = b.min(n - i);
+            for ii in i..i + bi {
+                mem.st_run(force_base(n, ii), &[0.0; 3]);
+            }
+            let mut j = 0;
+            while j < n {
+                let bj = b.min(n - j);
+                for ii in i..i + bi {
+                    let pi = ld_particle(mem, ii);
+                    let mut f = [0.0; 3];
+                    mem.ld_run(force_base(n, ii), &mut f);
+                    let mut acc = Vec3 {
+                        x: f[0],
+                        y: f[1],
+                        z: f[2],
+                    };
+                    for jj in j..j + bj {
+                        if ii != jj {
+                            acc = acc.add(phi2(pi, ld_particle(mem, jj)));
+                        }
+                    }
+                    mem.st_run(force_base(n, ii), &[acc.x, acc.y, acc.z]);
+                }
+                j += bj;
+            }
+            i += bi;
+        }
+    }
+
+    fn staged(p: &[Particle]) -> Vec<f64> {
+        let mut raw = RawMem::new(2 * p.len() * WORDS_PER_BODY);
+        store_cloud(&mut raw, p);
+        raw.data
+    }
+
+    #[test]
+    fn block_runs_emit_the_per_particle_word_stream() {
+        // n % b != 0, b = 1, b = n and b > n.
+        for (n, b) in [(13, 4), (10, 3), (7, 1), (9, 9), (6, 11), (1, 1)] {
+            let data = staged(&Particle::random_cloud(n, 33));
+            let mut new = Recorder {
+                data: data.clone(),
+                log: Vec::new(),
+            };
+            simmed_nbody_wa(&mut new, n, b);
+            let mut old = Recorder {
+                data,
+                log: Vec::new(),
+            };
+            per_particle_kernel(&mut old, n, b);
+            assert_eq!(new.log, old.log, "n = {n}, b = {b}");
+            assert_eq!(new.data, old.data, "n = {n}, b = {b}");
+        }
+    }
+
+    #[test]
+    fn every_backing_store_computes_the_same_forces() {
+        let (n, b) = (37, 6);
+        let p = Particle::random_cloud(n, 34);
+        let mut raw = RawMem::from_vec(staged(&p));
+        simmed_nbody_wa(&mut raw, n, b);
+        let mut sim = SimMem::from_vec(staged(&p), MemSim::single_level_lru(64));
+        simmed_nbody_wa(&mut sim, n, b);
+        let mut stack = StackMem::from_vec(staged(&p));
+        simmed_nbody_wa(&mut stack, n, b);
+        let f = load_forces(&mut raw, n);
+        assert_eq!(f, load_forces(&mut sim, n));
+        assert_eq!(f, load_forces(&mut stack, n));
+        for (a, want) in f.iter().zip(&reference_forces(&p)) {
+            assert!(a.max_abs_diff(*want) < 1e-12);
+        }
+    }
 
     #[test]
     fn simmed_matches_reference() {

@@ -56,7 +56,7 @@ pub mod traffic;
 
 pub use cancel::{CancelReason, CancelToken};
 pub use cost::CostParams;
-pub use curve::{CapacityCurve, CurvePoint};
+pub use curve::{CapacityCurve, CumSteps, CurvePoint};
 pub use engine::{
     BackendKind, EngineError, FnWorkload, Registry, RunCfg, RunLimits, Scale, Workload,
 };

@@ -176,10 +176,9 @@ impl RunReport {
             }
         }
         if let Some(curve) = &self.curve {
-            let ladder = curve.default_ladder();
             let mut prev: Option<crate::curve::CurvePoint> = None;
-            for &c in &ladder {
-                let p = curve.at(c);
+            for p in curve.points(&curve.default_ladder()) {
+                let c = p.capacity_words;
                 if p.dram_writes_lines() != p.writebacks + p.flush_writebacks {
                     return Err(format!(
                         "curve at {c} words: dram_writes {} != writebacks {} + flush {}",
