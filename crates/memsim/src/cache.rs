@@ -79,88 +79,21 @@ pub(crate) struct Victim {
 
 const NIL: u32 = u32::MAX;
 
-/// Flat line→slot index: a power-of-two bucket array of chain heads plus a
-/// per-slot chain link, replacing the former `HashMap<u64, usize>`. Lookup
-/// walks the (short) chain comparing against the level's own `tags` array,
-/// so the hot path is two flat-array loads and a multiply — no SipHash,
-/// no heap buckets.
-struct FlatIndex {
-    /// `64 - log2(buckets)`: multiplicative-hash shift.
-    shift: u32,
-    /// Bucket → first slot in chain (NIL = empty).
-    head: Vec<u32>,
-    /// Slot → next slot in the same bucket's chain.
-    chain: Vec<u32>,
-}
-
-impl FlatIndex {
-    fn new(lines: usize) -> Self {
-        let buckets = (2 * lines.max(1)).next_power_of_two();
-        FlatIndex {
-            shift: 64 - buckets.trailing_zeros(),
-            head: vec![NIL; buckets],
-            chain: vec![NIL; lines],
-        }
-    }
-
-    /// Fibonacci hashing: the high bits of `line * φ⁻¹·2⁶⁴` index the
-    /// bucket, spreading the strided line numbers cache sims produce.
-    #[inline]
-    fn bucket(&self, line: u64) -> usize {
-        (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
-    }
-
-    #[inline]
-    fn find(&self, line: u64, tags: &[u64]) -> Option<usize> {
-        let mut s = self.head[self.bucket(line)];
-        while s != NIL {
-            let si = s as usize;
-            if tags[si] == line {
-                return Some(si);
-            }
-            s = self.chain[si];
-        }
-        None
-    }
-
-    fn insert(&mut self, line: u64, slot: usize) {
-        let b = self.bucket(line);
-        self.chain[slot] = self.head[b];
-        self.head[b] = slot as u32;
-    }
-
-    fn remove(&mut self, line: u64, slot: usize) {
-        let b = self.bucket(line);
-        let mut cur = self.head[b];
-        if cur as usize == slot {
-            self.head[b] = self.chain[slot];
-            self.chain[slot] = NIL;
-            return;
-        }
-        while cur != NIL {
-            let ci = cur as usize;
-            let nx = self.chain[ci];
-            if nx as usize == slot {
-                self.chain[ci] = self.chain[slot];
-                self.chain[slot] = NIL;
-                return;
-            }
-            cur = nx;
-        }
-        debug_assert!(false, "removing line {line} that is not indexed");
-    }
-
-    fn clear(&mut self) {
-        self.head.iter_mut().for_each(|x| *x = NIL);
-        self.chain.iter_mut().for_each(|x| *x = NIL);
-    }
-}
-
-/// O(1) fully-associative LRU bookkeeping: a flat hash index plus an
+/// O(1) fully-associative LRU bookkeeping: a dense line→slot table, an
 /// intrusive doubly-linked recency list over slots (head = LRU,
 /// tail = MRU) and a free-slot stack.
+///
+/// `slot_of` is indexed by line number directly, so a lookup is one load
+/// and an insert or remove one store — no hashing, no chain. This needs
+/// dense addresses, which every feeder in the workspace uses (`Mem` data
+/// arrays, krylov's line-aligned nominal layout, the `parallel` machine's
+/// bump allocator), the same requirement as [`crate::recency`]'s table: a
+/// sparse address would size the table by its largest line rather than
+/// by the footprint. The table grows by doubling on insert; line numbers
+/// must fit in `u32`.
 struct FaLru {
-    index: FlatIndex,
+    /// Line → slot holding it, or `NIL` (also for lines past the end).
+    slot_of: Vec<u32>,
     prev: Vec<u32>,
     next: Vec<u32>,
     head: u32,
@@ -171,13 +104,35 @@ struct FaLru {
 impl FaLru {
     fn new(lines: usize) -> Self {
         FaLru {
-            index: FlatIndex::new(lines),
+            slot_of: Vec::new(),
             prev: vec![NIL; lines],
             next: vec![NIL; lines],
             head: NIL,
             tail: NIL,
             free: (0..lines).rev().collect(),
         }
+    }
+
+    #[inline]
+    fn find(&self, line: u64) -> Option<usize> {
+        match self.slot_of.get(line as usize) {
+            Some(&s) if s != NIL => Some(s as usize),
+            _ => None,
+        }
+    }
+
+    fn index(&mut self, line: u64, slot: usize) {
+        let i = line as usize;
+        if i >= self.slot_of.len() {
+            assert!(line < NIL as u64, "line {line} beyond the dense table");
+            let len = (i + 1).max(2 * self.slot_of.len());
+            self.slot_of.resize(len, NIL);
+        }
+        self.slot_of[i] = slot as u32;
+    }
+
+    fn unindex(&mut self, line: u64) {
+        self.slot_of[line as usize] = NIL;
     }
 
     fn unlink(&mut self, s: usize) {
@@ -207,42 +162,16 @@ impl FaLru {
         self.tail = s as u32;
     }
 
+    /// Reset the recency list and free stack. The caller has already
+    /// unindexed every resident line, so this costs O(capacity), not
+    /// O(table).
     fn clear(&mut self) {
-        self.index.clear();
         let lines = self.prev.len();
         self.prev.iter_mut().for_each(|x| *x = NIL);
         self.next.iter_mut().for_each(|x| *x = NIL);
         self.head = NIL;
         self.tail = NIL;
         self.free = (0..lines).rev().collect();
-    }
-}
-
-#[cfg(test)]
-mod flat_index_tests {
-    use super::*;
-
-    #[test]
-    fn insert_find_remove_with_collisions() {
-        // 4 slots -> 8 buckets; strided lines exercise chains.
-        let mut idx = FlatIndex::new(4);
-        let mut tags = vec![INVALID; 4];
-        for (slot, line) in [(0usize, 8u64), (1, 16), (2, 24), (3, 32)] {
-            tags[slot] = line;
-            idx.insert(line, slot);
-        }
-        for (slot, line) in [(0usize, 8u64), (1, 16), (2, 24), (3, 32)] {
-            assert_eq!(idx.find(line, &tags), Some(slot));
-        }
-        assert_eq!(idx.find(40, &tags), None);
-        idx.remove(16, 1);
-        tags[1] = INVALID;
-        assert_eq!(idx.find(16, &tags), None);
-        // Reuse the freed slot for a new line.
-        tags[1] = 48;
-        idx.insert(48, 1);
-        assert_eq!(idx.find(48, &tags), Some(1));
-        assert_eq!(idx.find(8, &tags), Some(0));
     }
 }
 
@@ -313,7 +242,7 @@ impl Level {
     #[inline]
     fn find(&self, line: u64) -> Option<usize> {
         if let Some(fa) = &self.fa {
-            return fa.index.find(line, &self.tags);
+            return fa.find(line);
         }
         let set = self.set_of(line);
         self.slot_range(set).find(|&s| self.tags[s] == line)
@@ -428,7 +357,7 @@ impl Level {
         // Keep FIFO/LRU metadata at 0 for empty slots: insertion will reset.
         self.meta[slot] = 0;
         if let Some(fa) = &mut self.fa {
-            fa.index.remove(line, slot);
+            fa.unindex(line);
             fa.unlink(slot);
             fa.free.push(slot);
         }
@@ -455,14 +384,14 @@ impl Level {
                         line: self.tags[s],
                         dirty: self.dirty[s],
                     };
-                    fa.index.remove(v.line, s);
+                    fa.unindex(v.line);
                     fa.unlink(s);
                     (s, Some(v))
                 }
             };
             self.tags[slot] = line;
             self.dirty[slot] = dirty;
-            fa.index.insert(line, slot);
+            fa.index(line, slot);
             fa.push_mru(slot);
             return (slot, victim);
         }
@@ -505,12 +434,16 @@ impl Level {
     }
 
     /// Drain every resident line; returns `(line, dirty)` pairs. Used by
-    /// `MemSim::flush`.
+    /// `MemSim::flush`. Walks the slots, so it costs O(capacity) whatever
+    /// the size of the fully-associative line table.
     pub fn drain(&mut self) -> Vec<(u64, bool)> {
         let mut out = Vec::new();
         for s in 0..self.tags.len() {
             if self.tags[s] != INVALID {
                 out.push((self.tags[s], self.dirty[s]));
+                if let Some(fa) = &mut self.fa {
+                    fa.unindex(self.tags[s]);
+                }
                 self.tags[s] = INVALID;
                 self.dirty[s] = false;
                 self.meta[s] = 0;
@@ -612,6 +545,32 @@ mod tests {
         d.sort();
         assert_eq!(d, vec![(1, true), (2, false)]);
         assert_eq!(l.resident_lines(), 0);
+    }
+
+    #[test]
+    fn fa_table_grows_for_high_lines_and_drain_unindexes_them() {
+        let mut l = tiny(0, Policy::Lru);
+        // A high line grows the table past every line indexed so far.
+        for line in [0u64, 3, 1 << 20, 5] {
+            l.insert(line, line, line == 3);
+        }
+        assert!(l.contains(1 << 20) && l.contains(0));
+        assert!(!l.contains((1 << 20) + 1) && !l.contains(u64::MAX - 1));
+        // Evicting the LRU line (0) frees its table entry.
+        let v = l.insert(7, 9, false).1.expect("must evict");
+        assert_eq!(v.line, 0);
+        assert!(!l.contains(0));
+        let mut d = l.drain();
+        d.sort();
+        assert_eq!(d, vec![(3, true), (5, false), (7, false), (1 << 20, false)]);
+        for line in [3u64, 5, 7, 1 << 20] {
+            assert!(!l.contains(line), "line {line} still indexed after drain");
+        }
+        // The drained level refills from a clean free list.
+        for line in [1 << 20, 3, 8, 9] {
+            assert!(l.insert(line, 20, false).1.is_none());
+        }
+        assert_eq!(l.resident_lines(), 4);
     }
 
     #[test]

@@ -12,6 +12,14 @@
 //! `victims_m` is the number of obligatory DRAM write-backs
 //! (`LLC_VICTIMS.M`), `victims_e` the clean forgotten lines
 //! (`LLC_VICTIMS.E`), and `fills` the DRAM→LLC reads (`LLC_S_FILLS.E`).
+//!
+//! Cost of a walk: the word→line step is a shift, and each
+//! fully-associative level finds, inserts and back-invalidates a line
+//! through a dense line→slot table (one load or store each), so a miss
+//! at depth `d` costs O(d) array operations with no hashing. The table is
+//! indexed by line number, so addresses must be dense, as they are for
+//! every feeder in the workspace (see the `recency` module).
+//! Set-associative levels scan their set's ways.
 
 use crate::cache::{CacheConfig, Level, LevelCounters, Touch, Victim};
 use crate::probe::{Probe, Snapshot};
@@ -32,7 +40,9 @@ pub use wa_core::AccessRun;
 /// ```
 pub struct MemSim {
     levels: Vec<Level>,
-    line_words: usize,
+    /// `log2(line_words)`: [`Level::new`] asserts a power-of-two line, so
+    /// every word→line step on the walk is a shift, not a division.
+    line_shift: u32,
     clock: u64,
     /// Two-entry line memo. `memo[0]` is the `(line, l1_slot)` of the most
     /// recent access: after any access that line is resident in L1 at
@@ -98,7 +108,7 @@ impl MemSim {
         }
         MemSim {
             levels: cfgs.iter().map(|c| Level::new(*c)).collect(),
-            line_words,
+            line_shift: line_words.trailing_zeros(),
             clock: 0,
             memo: [None, None],
             fast_path: true,
@@ -265,7 +275,7 @@ impl MemSim {
     }
 
     pub fn line_words(&self) -> usize {
-        self.line_words
+        1 << self.line_shift
     }
 
     /// Counters of level `i` (0 = L1 ... last = LLC).
@@ -324,11 +334,11 @@ impl MemSim {
             }
             return;
         }
-        let lw = self.line_words;
+        let sh = self.line_shift;
         let end = addr + words;
         let mut a = addr;
         while a < end {
-            let line_end = (a / lw + 1) * lw;
+            let line_end = ((a >> sh) + 1) << sh;
             let in_line = line_end.min(end) - a;
             // First word of the line interval: full walk (or memo hit).
             self.access(a as u64, is_write);
@@ -362,7 +372,7 @@ impl MemSim {
         if self.clock >= self.cancel_check_at {
             self.cancel_checkpoint();
         }
-        let line = addr / self.line_words as u64;
+        let line = addr >> self.line_shift;
 
         if self.fast_path {
             // memo[0]: the line of the immediately preceding access is
@@ -516,9 +526,9 @@ impl MemSim {
         if words == 0 {
             return 0;
         }
-        let lw = self.line_words as u64;
-        let first = addr as u64 / lw;
-        let last = (addr + words - 1) as u64 / lw;
+        let sh = self.line_shift;
+        let first = (addr >> sh) as u64;
+        let last = ((addr + words - 1) >> sh) as u64;
         let n = self.levels.len();
         let mut flushed = 0;
         for line in first..=last {
@@ -550,7 +560,7 @@ impl MemSim {
     /// Is the line containing word `addr` resident at level `i`
     /// (diagnostics)?
     pub fn contains(&self, i: usize, addr: usize) -> bool {
-        self.levels[i].contains(addr as u64 / self.line_words as u64)
+        self.levels[i].contains((addr >> self.line_shift) as u64)
     }
 
     /// The configuration of level `i`.

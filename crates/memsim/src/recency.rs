@@ -31,7 +31,9 @@ struct Slot<T> {
 /// addresses, as every feeder in the workspace does: `Mem` data arrays,
 /// krylov's line-aligned nominal layout, and the `parallel` machine's
 /// bump allocator. A sparse address (a high base offset, say) would size
-/// the table by its largest line rather than by the footprint.
+/// the table by its largest line rather than by the footprint. The same
+/// holds for [`crate::MemSim`]: each fully-associative level finds its
+/// lines through a dense line→slot table (`cache::FaLru`).
 pub(crate) struct RecencyStack<T> {
     slots: Vec<Slot<T>>,
     /// `owner[t]` = the line whose most recent touch is tick `t` (where

@@ -1,9 +1,10 @@
 //! Model-based property tests: the O(1) fully-associative LRU
 //! implementation must agree, access for access, with a naive
 //! reference model (vector of (line, dirty, timestamp)), and must keep
-//! LRU's inclusion property as capacity grows.
+//! LRU's inclusion property as capacity grows. The multi-level stack is
+//! checked counter for counter against a naive inclusive model too.
 
-use memsim::{CacheConfig, MemSim, Policy};
+use memsim::{CacheConfig, LevelCounters, MemSim, Policy};
 use proptest::prelude::*;
 
 /// Naive reference: fully-associative LRU with write-back, tracked as a
@@ -61,6 +62,140 @@ impl RefLru {
     }
 }
 
+/// One level of [`RefHier`]: resident `(line, dirty, last_use)` entries.
+struct RefLevel {
+    cap: usize,
+    lines: Vec<(u64, bool, u64)>,
+    c: LevelCounters,
+}
+
+impl RefLevel {
+    fn pos(&self, line: u64) -> Option<usize> {
+        self.lines.iter().position(|e| e.0 == line)
+    }
+}
+
+/// Naive inclusive multi-level FA-LRU write-back hierarchy, the semantics
+/// `MemSim` documents, kept in plain vectors with linear scans:
+///
+/// * an access walks down to the first level holding the line (a hit
+///   refreshes only that level's recency) and fills every level above;
+/// * writes dirty L1 only;
+/// * a victim at level `i` back-invalidates its copies in the faster
+///   levels, merges their dirtiness, and counts as M or E at level `i`;
+///   a dirty victim marks level `i + 1` dirty or is a DRAM write;
+/// * flush drains top-down, each dirty line counting a flush victim at
+///   its level and dirtying the next one (or DRAM).
+struct RefHier {
+    line_words: usize,
+    levels: Vec<RefLevel>,
+    clock: u64,
+    dram_reads: u64,
+    dram_writes: u64,
+}
+
+impl RefHier {
+    fn new(caps: &[usize], line_words: usize) -> Self {
+        RefHier {
+            line_words,
+            levels: caps
+                .iter()
+                .map(|&cap| RefLevel {
+                    cap,
+                    lines: Vec::new(),
+                    c: LevelCounters::default(),
+                })
+                .collect(),
+            clock: 0,
+            dram_reads: 0,
+            dram_writes: 0,
+        }
+    }
+
+    fn access(&mut self, addr: usize, is_write: bool) {
+        self.clock += 1;
+        let line = (addr / self.line_words) as u64;
+        let n = self.levels.len();
+        let mut hit = n;
+        for i in 0..n {
+            let l = &mut self.levels[i];
+            match l.pos(line) {
+                Some(k) => {
+                    l.c.hits += 1;
+                    l.lines[k].2 = self.clock;
+                    l.lines[k].1 |= is_write && i == 0;
+                    hit = i;
+                    break;
+                }
+                None => l.c.misses += 1,
+            }
+        }
+        if hit == n {
+            self.dram_reads += 1;
+        }
+        for i in (0..hit).rev() {
+            let l = &mut self.levels[i];
+            let victim = (l.lines.len() == l.cap).then(|| {
+                let k = (0..l.lines.len()).min_by_key(|&k| l.lines[k].2).unwrap();
+                l.lines.swap_remove(k)
+            });
+            l.c.fills += 1;
+            l.lines.push((line, is_write && i == 0, self.clock));
+            if let Some((vline, vdirty, _)) = victim {
+                self.evict(i, vline, vdirty);
+            }
+        }
+    }
+
+    fn evict(&mut self, i: usize, line: u64, mut dirty: bool) {
+        for j in 0..i {
+            if let Some(k) = self.levels[j].pos(line) {
+                dirty |= self.levels[j].lines.swap_remove(k).1;
+            }
+        }
+        if dirty {
+            self.levels[i].c.victims_m += 1;
+            self.mark_below(i, line);
+        } else {
+            self.levels[i].c.victims_e += 1;
+        }
+    }
+
+    /// A dirty line leaves level `i`: dirty its copy below, or write DRAM.
+    fn mark_below(&mut self, i: usize, line: u64) {
+        match self.levels.get_mut(i + 1) {
+            Some(below) => {
+                let k = below.pos(line).expect("inclusion");
+                below.lines[k].1 = true;
+            }
+            None => self.dram_writes += 1,
+        }
+    }
+
+    fn flush(&mut self) {
+        for i in 0..self.levels.len() {
+            for (line, dirty, _) in std::mem::take(&mut self.levels[i].lines) {
+                if dirty {
+                    self.levels[i].c.flush_victims_m += 1;
+                    self.mark_below(i, line);
+                }
+            }
+        }
+    }
+
+    /// Every counter of every level, then DRAM reads and writes.
+    fn counters(&self) -> (Vec<LevelCounters>, u64, u64) {
+        let c = self.levels.iter().map(|l| l.c).collect();
+        (c, self.dram_reads, self.dram_writes)
+    }
+}
+
+/// [`RefHier::counters`] read off a `MemSim`.
+fn sim_counters(sim: &MemSim) -> (Vec<LevelCounters>, u64, u64) {
+    let c = (0..sim.num_levels()).map(|i| sim.counters(i)).collect();
+    (c, sim.dram_reads_lines, sim.dram_writes_lines)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -91,6 +226,56 @@ proptest! {
         prop_assert_eq!(c.victims_m, reference.victims_m);
         prop_assert_eq!(c.victims_e, reference.victims_e);
         prop_assert_eq!(sim.dram_writes_lines, reference.victims_m);
+    }
+
+    /// `MemSim` on 1-, 2- and 3-level FA-LRU stacks equals the naive
+    /// inclusive model on every counter of every level and on the DRAM
+    /// tallies, before and after each flush, with reuse after the first
+    /// flush. Runs go through `read_range`/`write_range` (the line memo
+    /// and the line-granular path), and some land on a high line, which
+    /// grows the dense line table far past the footprint.
+    #[test]
+    fn stacked_fa_lru_matches_the_inclusive_reference_model(
+        ops in prop::collection::vec((0usize..640, 1usize..20, any::<bool>(), 0u8..16), 1..300),
+        depth in 1usize..4,
+        line_words in prop::sample::select(vec![1usize, 2, 8]),
+        caps in (1usize..5, 1usize..6, 1usize..10),
+        split in 0usize..300,
+    ) {
+        let caps = [caps.0, caps.0 + caps.1, caps.0 + caps.1 + caps.2];
+        let caps = &caps[..depth];
+        let cfgs: Vec<CacheConfig> = caps
+            .iter()
+            .map(|&lines| CacheConfig {
+                capacity_words: lines * line_words,
+                line_words,
+                ways: 0,
+                policy: Policy::Lru,
+            })
+            .collect();
+        let mut sim = MemSim::new(&cfgs);
+        let mut model = RefHier::new(caps, line_words);
+        let split = split.min(ops.len());
+        for (half, part) in [&ops[..split], &ops[split..]].into_iter().enumerate() {
+            for &(addr, words, is_write, high) in part {
+                // One op in 16 lands 2^20 lines up.
+                let addr = if high == 0 { addr + (line_words << 20) } else { addr };
+                if is_write {
+                    sim.write_range(addr, words);
+                } else {
+                    sim.read_range(addr, words);
+                }
+                for a in addr..addr + words {
+                    model.access(a, is_write);
+                }
+            }
+            let (got, want) = (sim_counters(&sim), model.counters());
+            prop_assert!(got == want, "before flush {}: sim {:?} != model {:?}", half, got, want);
+            sim.flush();
+            model.flush();
+            let (got, want) = (sim_counters(&sim), model.counters());
+            prop_assert!(got == want, "after flush {}: sim {:?} != model {:?}", half, got, want);
+        }
     }
 
     /// The 3-level inclusive hierarchy never loses dirty data: total DRAM
